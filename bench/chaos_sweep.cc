@@ -113,7 +113,7 @@ main(int argc, char** argv)
                                     {3, sweep_stream(rng, n)}};
     AggregateMap truth;
     for (const auto& s : streams)
-        core::aggregate_into(truth, s.stream, core::AggOp::kAdd);
+        core::aggregate_into(truth, s.stream, core::ReduceOp::kAdd);
 
     RowResult base = run_one(sim::ChaosPlan{}, streams, truth);
     sim::SimTime horizon = base.jct * 2;

@@ -13,7 +13,7 @@
 #include "baselines/noaggr.h"
 #include "bench_util.h"
 #include "net/cost_model.h"
-#include "sim/engine.h"
+#include "sim/parallel.h"
 
 namespace {
 
@@ -66,8 +66,7 @@ main(int argc, char** argv)
             results[i] = baselines::run_noaggr(spec);
         });
     }
-    sim::ParallelEngine engine;
-    engine.run_isolated(jobs);
+    sim::run_isolated(jobs);
 
     for (std::size_t i = 0; i < xs.size(); ++i) {
         std::uint32_t x = xs[i];

@@ -28,7 +28,7 @@
 #include "baselines/noaggr.h"
 #include "bench_util.h"
 #include "common/logging.h"
-#include "sim/engine.h"
+#include "sim/parallel.h"
 #include "workload/generators.h"
 
 namespace {
@@ -231,12 +231,10 @@ main(int argc, char** argv)
     // Every sweep point below — (senders, NoAggr) pairs and fabric
     // sizes — is an independent replica simulation (its own cluster,
     // simulator, and streams), so both sweeps fan their points out
-    // over ASK_SIM_THREADS engine workers and emit rows in sweep order
+    // over ASK_SIM_THREADS threads and emit rows in sweep order
     // afterwards: the table and report bytes are identical at any
     // thread count (held by the sim_parallel_ab ctest's fuzz/bench
     // A/B diffs and measured by the sim_parallel bench).
-    sim::ParallelEngine engine;
-
     if (racks_override == 0) {
         bench::banner("Figure 13(b)",
                       "average per-sender goodput vs number of senders");
@@ -257,7 +255,7 @@ main(int argc, char** argv)
                 ask_gbps[i] = ask_per_sender_gbps(sender_counts[i], tuples);
             });
         }
-        engine.run_isolated(jobs);
+        sim::run_isolated(jobs);
         for (std::size_t i = 0; i < sender_counts.size(); ++i) {
             std::uint32_t n = sender_counts[i];
             t.row({std::to_string(n), fmt_double(ask_gbps[i], 2),
@@ -292,7 +290,7 @@ main(int argc, char** argv)
             points[i] = fabric_goodput(rack_counts[i], fabric_tuples);
         });
     }
-    engine.run_isolated(fabric_jobs);
+    sim::run_isolated(fabric_jobs);
     for (const FabricPoint& pt : points) {
         ft.row({std::to_string(pt.racks), std::to_string(pt.switches),
                 std::to_string(pt.senders), fmt_double(pt.goodput_gbps, 2),

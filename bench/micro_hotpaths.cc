@@ -220,7 +220,7 @@ BM_HostAggregate(benchmark::State& state)
         stream.push_back({u64_key(rng.next_below(1024)), 1});
     for (auto _ : state) {
         core::AggregateMap acc;
-        core::aggregate_into(acc, stream, core::AggOp::kAdd);
+        core::aggregate_into(acc, stream, core::ReduceOp::kAdd);
         benchmark::DoNotOptimize(acc);
     }
     state.SetItemsProcessed(state.iterations() * 4096);

@@ -1,19 +1,24 @@
 /**
- * sim_parallel — wall-clock speedup and determinism of the sharded
- * discrete-event engine (docs/CONCURRENCY.md).
+ * sim_parallel — wall-clock speedup and determinism of running
+ * independent simulations in parallel (sim::run_isolated,
+ * docs/CONCURRENCY.md).
  *
  * Runs a fixed set of independent fig13b-shaped fabric replicas — each
- * replica is a full AskCluster on its own engine island streaming
- * every host to a receiver across racks — once per thread count in
- * {1, 2, 4}, and reports for each thread count the wall-clock time,
- * the speedup against the 1-thread run, and a determinism bit: a
- * digest of every replica's simulated results (goodput bit patterns
- * and completion times, in replica order) must be identical to the
- * 1-thread digest. The digest row is what perf_gate pins — it is
- * machine-independent, unlike the wall clock. The measured speedup is
- * gated only on machines with enough cores (params.speedup_floor /
- * params.speedup_threads; perf_gate skips the floor when
- * params.cores of the fresh run is smaller).
+ * replica is a full AskCluster on its own simulator streaming every
+ * host to a receiver across racks — at thread counts 1, 2 and 4. One
+ * untimed warm-up pass comes first; then kReps repetitions are
+ * interleaved (1, 2, 4, 1, 2, 4, ...) so drift in machine load hits
+ * every thread count alike. Each row reports, for one thread count,
+ * the median wall-clock time with its min and max, the median process
+ * CPU time, the speedup median(1 thread) / median(N threads), and a
+ * determinism bit: a digest of every replica's simulated results
+ * (goodput bit patterns and completion times, in replica order) must
+ * equal the sequential warm-up pass's digest in every repetition. The
+ * digest row is what perf_gate pins — it is machine-independent,
+ * unlike the wall clock. The measured speedup is gated only on
+ * machines with enough cores (params.speedup_floor /
+ * params.speedup_threads; perf_gate skips the floor when params.cores
+ * of the fresh run is smaller).
  *
  * This binary deliberately ignores ASK_SIM_THREADS: it *is* the
  * thread-count sweep.
@@ -21,9 +26,11 @@
  * Flags: --smoke | --full   replica size (2-rack CI shape vs the full
  *                           8-rack fig13b shape), plus --help.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
 #include <functional>
 #include <iostream>
 #include <thread>
@@ -33,7 +40,7 @@
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/table.h"
-#include "sim/engine.h"
+#include "sim/parallel.h"
 
 namespace {
 
@@ -127,6 +134,49 @@ digest(const std::vector<ReplicaResult>& results)
     return h;
 }
 
+/** Median of `v` (the mean of the middle two for an even count). */
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/** Wall and process-CPU milliseconds of one pass, plus its digest. */
+struct Sample
+{
+    double wall_ms = 0.0;
+    double cpu_ms = 0.0;
+    std::uint64_t digest = 0;
+};
+
+/** Run every replica once on `threads` threads. */
+Sample
+run_pass(unsigned threads, std::uint32_t replicas, std::uint32_t racks,
+         std::uint64_t tuples)
+{
+    std::vector<ReplicaResult> results(replicas);
+    std::vector<std::function<void()>> jobs;
+    for (std::uint32_t r = 0; r < replicas; ++r)
+        jobs.push_back([&results, racks, tuples, r] {
+            results[r] = run_replica(racks, tuples, r);
+        });
+
+    auto start = std::chrono::steady_clock::now();
+    std::clock_t cpu_start = std::clock();
+    sim::run_isolated(jobs, threads);
+    std::clock_t cpu_end = std::clock();
+    auto end = std::chrono::steady_clock::now();
+
+    Sample s;
+    s.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+    s.cpu_ms = 1000.0 * static_cast<double>(cpu_end - cpu_start) /
+               CLOCKS_PER_SEC;
+    s.digest = digest(results);
+    return s;
+}
+
 void
 print_usage()
 {
@@ -153,7 +203,7 @@ main(int argc, char** argv)
 
     bench::BenchReport report(
         "sim_parallel",
-        "parallel-engine wall-clock speedup and cross-thread determinism",
+        "run_isolated wall-clock speedup and cross-thread determinism",
         argc, argv);
     bool full = report.full();
     std::uint32_t racks = report.smoke() ? 2 : (full ? 8 : 4);
@@ -163,6 +213,8 @@ main(int argc, char** argv)
     unsigned cores = std::max(1u, std::thread::hardware_concurrency());
     constexpr double kSpeedupFloor = 1.5;
     constexpr unsigned kSpeedupThreads = 4;
+    constexpr unsigned kReps = 5;
+    const std::vector<unsigned> thread_counts = {1, 2, kSpeedupThreads};
 
     report.param("racks", racks);
     report.param("replicas", replicas);
@@ -170,60 +222,70 @@ main(int argc, char** argv)
     report.param("cores", cores);
     report.param("speedup_floor", kSpeedupFloor);
     report.param("speedup_threads", kSpeedupThreads);
+    report.param("repetitions", kReps);
 
     bench::banner("sim_parallel",
-                  "engine speedup and determinism across thread counts");
+                  "run_isolated speedup and determinism across thread counts");
     std::cout << "machine: " << cores << " core(s); " << replicas
               << " replicas of a " << racks << "-rack fabric, " << tuples
-              << " tuples/sender\n";
+              << " tuples/sender; 1 warm-up + " << kReps
+              << " interleaved repetitions\n";
+
+    // The untimed warm-up pass runs inline, in replica order: its
+    // digest is the sequential reference every timed pass must match.
+    std::uint64_t digest_ref = run_pass(1, replicas, racks, tuples).digest;
+    std::vector<std::vector<Sample>> samples(thread_counts.size());
+    for (unsigned rep = 0; rep < kReps; ++rep)
+        for (std::size_t i = 0; i < thread_counts.size(); ++i)
+            samples[i].push_back(
+                run_pass(thread_counts[i], replicas, racks, tuples));
 
     TextTable t;
-    t.header({"threads", "wall (ms)", "speedup", "deterministic"});
+    t.header({"threads", "wall median (ms)", "min", "max", "cpu (ms)",
+              "speedup", "deterministic"});
     double wall_ms_1 = 0.0;
-    std::uint64_t digest_1 = 0;
     bool all_deterministic = true;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        sim::SimOptions options;
-        options.num_threads = threads;
-        sim::ParallelEngine engine(options);
-
-        std::vector<ReplicaResult> results(replicas);
-        std::vector<std::function<void()>> jobs;
-        for (std::uint32_t r = 0; r < replicas; ++r)
-            jobs.push_back([&results, racks, tuples, r] {
-                results[r] = run_replica(racks, tuples, r);
-            });
-
-        auto start = std::chrono::steady_clock::now();
-        engine.run_isolated(jobs);
-        auto end = std::chrono::steady_clock::now();
-        double wall_ms =
-            std::chrono::duration<double, std::milli>(end - start).count();
-
-        std::uint64_t d = digest(results);
-        if (threads == 1) {
-            wall_ms_1 = wall_ms;
-            digest_1 = d;
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+        std::vector<double> wall;
+        std::vector<double> cpu;
+        bool deterministic = true;
+        for (const Sample& s : samples[i]) {
+            wall.push_back(s.wall_ms);
+            cpu.push_back(s.cpu_ms);
+            deterministic = deterministic && s.digest == digest_ref;
         }
-        bool deterministic = d == digest_1;
         all_deterministic = all_deterministic && deterministic;
+        double wall_ms = median(wall);
+        double wall_min = *std::min_element(wall.begin(), wall.end());
+        double wall_max = *std::max_element(wall.begin(), wall.end());
+        double cpu_ms = median(cpu);
+        if (thread_counts[i] == 1)
+            wall_ms_1 = wall_ms;
         double speedup = wall_ms > 0.0 ? wall_ms_1 / wall_ms : 0.0;
-        t.row({std::to_string(threads), fmt_double(wall_ms, 1),
-               fmt_double(speedup, 2), deterministic ? "yes" : "NO"});
-        report.row({{"threads", threads},
+        t.row({std::to_string(thread_counts[i]), fmt_double(wall_ms, 1),
+               fmt_double(wall_min, 1), fmt_double(wall_max, 1),
+               fmt_double(cpu_ms, 1), fmt_double(speedup, 2),
+               deterministic ? "yes" : "NO"});
+        report.row({{"threads", thread_counts[i]},
                     {"wall_ms", wall_ms},
+                    {"wall_ms_min", wall_min},
+                    {"wall_ms_max", wall_max},
+                    {"cpu_ms", cpu_ms},
                     {"speedup", speedup},
                     {"determinism_ok", deterministic ? 1 : 0}});
     }
     t.print(std::cout);
 
     report.note("determinism_ok compares a digest of every replica's "
-                "simulated results against the 1-thread run: the engine's "
-                "merge is deterministic, so it must be 1 at every thread "
-                "count on every machine");
-    report.note("speedup is wall-clock and machine-dependent; perf_gate "
-                "enforces the speedup_floor only when the machine has at "
-                "least speedup_threads cores");
+                "simulated results, in every repetition, against the "
+                "sequential warm-up pass: jobs touch only their own "
+                "result slot and are folded in index order, so it must "
+                "be 1 at every thread count on every machine");
+    report.note("wall_ms and cpu_ms are medians over the interleaved "
+                "repetitions; speedup is median wall at 1 thread over "
+                "median wall at N threads. It is machine-dependent; "
+                "perf_gate enforces the speedup_floor only when the "
+                "machine has at least speedup_threads cores");
 
     if (!all_deterministic) {
         std::cerr << "sim_parallel: NONDETERMINISM across thread counts\n";

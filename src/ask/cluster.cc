@@ -37,21 +37,7 @@ switch_prefix(const Topology& topo, std::uint32_t s, const char* base)
 }  // namespace
 
 AskCluster::AskCluster(const ClusterConfig& config)
-    : AskCluster(config, nullptr)
-{
-}
-
-AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator& external)
-    : AskCluster(config, &external)
-{
-}
-
-AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
-    : config_(config), topo_(resolve_topology(config)),
-      owned_simulator_(external ? nullptr
-                                : std::make_unique<sim::Simulator>()),
-      simulator_(external ? *external : *owned_simulator_),
-      network_(simulator_)
+    : config_(config), topo_(resolve_topology(config)), network_(simulator_)
 {
     config_.ask.validate();
     ASK_ASSERT(topo_.num_hosts() <= config_.ask.max_hosts,

@@ -106,17 +106,6 @@ class AskCluster
   public:
     explicit AskCluster(const ClusterConfig& config);
 
-    /**
-     * External-simulator mode: wire the whole deployment onto a
-     * simulator the caller owns — in practice a sim::ParallelEngine
-     * island, so several clusters can run island-parallel under the
-     * engine's deterministic merge (see docs/CONCURRENCY.md). The
-     * cluster registers every event (packets, chaos, management RPCs)
-     * on `external`, which must outlive the cluster; run() drains it
-     * as usual, or the engine drives it together with its siblings.
-     */
-    AskCluster(const ClusterConfig& config, sim::Simulator& external);
-
     ~AskCluster();
 
     AskCluster(const AskCluster&) = delete;
@@ -189,19 +178,6 @@ class AskCluster
     /** The control plane: a plain AskSwitchController for one rack, a
      *  FabricController (fan-out) for several. */
     AskSwitchController& controller() { return *controller_; }
-
-    // ---- deprecated single-switch shims ------------------------------------
-    // Deprecation note (back-compat shims): these pre-fabric accessors
-    // resolve to switch 0 — rack 0's ToR. They are exact on a
-    // single-rack cluster and partial views on a fabric; new code
-    // should pass a SwitchId.
-    pisa::PisaSwitch& pisa_switch() { return pisa_switch(SwitchId{0}); }
-    AskSwitchProgram& program() { return program(SwitchId{0}); }
-    const SwitchAggStats& switch_stats() const
-    {
-        return switch_stats(SwitchId{0});
-    }
-    net::NodeId switch_node() const { return switch_node(SwitchId{0}); }
 
     const ClusterConfig& config() const { return config_; }
 
@@ -280,10 +256,6 @@ class AskCluster
     void restart_controller();
 
   private:
-    /** The real constructor both public overloads delegate to:
-     *  `external == nullptr` means own the simulator. */
-    AskCluster(const ClusterConfig& config, sim::Simulator* external);
-
     /** Tasks currently in flight, for reboot recovery. */
     struct ActiveTask
     {
@@ -343,12 +315,8 @@ class AskCluster
     /** Stable storage. Declared before the components that journal into
      *  it and survives their crashes by construction. */
     WalStore wal_store_;
-    /** Owns the event queue in the classic mode; null when the cluster
-     *  was constructed onto an external (engine-island) simulator. */
-    std::unique_ptr<sim::Simulator> owned_simulator_;
-    /** The simulator every component schedules on — *owned_simulator_
-     *  or the caller's. All code below talks to this reference. */
-    sim::Simulator& simulator_;
+    /** The event queue every component schedules on. */
+    sim::Simulator simulator_;
     net::Network network_;
     /** One per SwitchId: ToRs 0..R-1, then the tier switch (if any). */
     std::vector<std::unique_ptr<pisa::PisaSwitch>> switches_;

@@ -138,10 +138,6 @@ enum class ReduceOp : std::uint8_t
 /** One past the largest valid ReduceOp id (wire validation bound). */
 inline constexpr std::uint8_t kNumReduceOps = 5;
 
-/** Deprecated alias: the operator predates per-task binding, when it
- *  was a single cluster-wide "aggregation op". */
-using AggOp = ReduceOp;
-
 /** Short lower-case name ("sum", "max", "min", "count", "float"). */
 const char* reduce_op_name(ReduceOp op);
 

@@ -107,7 +107,7 @@ Rng::fork()
 
 namespace {
 
-// The registry may be fed from parallel-engine workers (a bench sweep
+// The registry may be fed from run_isolated threads (a bench sweep
 // point seeding an Rng while another runs), so it is mutex-guarded.
 // Entries then arrive in thread-schedule order — replay still works
 // because ASK_SEED overrides every entry at once, and nothing folds

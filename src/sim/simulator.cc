@@ -87,31 +87,6 @@ Simulator::run_until(SimTime deadline)
     return now_;
 }
 
-SimTime
-Simulator::run_before(SimTime end)
-{
-    SimTime next = 0;
-    while (next_event_time(&next) && next < end)
-        pop_and_run();
-    return now_;
-}
-
-bool
-Simulator::next_event_time(SimTime* t)
-{
-    while (!queue_.empty()) {
-        auto it = cancelled_.find(queue_.top().id);
-        if (it == cancelled_.end()) {
-            *t = queue_.top().time;
-            return true;
-        }
-        cancelled_.erase(it);
-        --cancelled_live_;
-        queue_.pop();
-    }
-    return false;
-}
-
 bool
 Simulator::step()
 {

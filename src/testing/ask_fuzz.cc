@@ -41,10 +41,9 @@ usage(const char* argv0)
     std::cerr << "usage: " << argv0
               << " [--seed N] [--count N] [--smoke] [--crash-heavy]\n"
                  "       [--replay SEED] [--no-shrink] [--max-failures N]\n"
-                 "       [--json PATH] [--threads N]\n"
-                 "--threads N (or ASK_SIM_THREADS=N) runs the campaign's\n"
-                 "scenarios on N worker threads; the report bytes are\n"
-                 "identical at any thread count.\n";
+                 "       [--json PATH]\n"
+                 "ASK_SIM_THREADS=N runs the campaign's scenarios on N\n"
+                 "threads; the report bytes are identical at any count.\n";
     std::exit(2);
 }
 
@@ -93,9 +92,6 @@ main(int argc, char** argv)
                 static_cast<std::uint32_t>(parse_u64(argv[0], value()));
         else if (std::strcmp(argv[i], "--json") == 0)
             json_path = value();
-        else if (std::strcmp(argv[i], "--threads") == 0)
-            options.num_threads =
-                static_cast<unsigned>(parse_u64(argv[0], value()));
         else
             usage(argv[0]);
     }

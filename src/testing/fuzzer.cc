@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/random.h"
-#include "sim/engine.h"
+#include "sim/parallel.h"
 
 namespace ask::testing {
 
@@ -110,7 +110,7 @@ struct ScenarioOutcome
 };
 
 /** Generate + diff (+ shrink) one seed. Touches nothing shared, so it
- *  is safe to run on any engine worker. */
+ *  is safe to run on any run_isolated thread. */
 ScenarioOutcome
 run_scenario(std::uint64_t seed, const ScenarioTuning& tuning, bool shrink,
              std::uint32_t shrink_attempts)
@@ -149,18 +149,14 @@ run_fuzz(const FuzzOptions& options)
     for (std::uint32_t i = 0; i < options.count; ++i)
         seeds[i] = split_mix64(chain);
 
-    sim::SimOptions sim_options = sim::SimOptions::from_env();
-    if (options.num_threads != 0)
-        sim_options.num_threads = options.num_threads;
-    sim::ParallelEngine engine(sim_options);
-
-    // Scenarios run in fixed-size waves (replica islands on the engine
-    // pool), then fold into the report strictly in scenario order. The
-    // wave size is a constant, NOT the thread count: the fold — and so
-    // the report bytes, including where a max_failures campaign stops —
-    // must be a pure function of (base_seed, count). A wave may compute
-    // scenarios beyond the stop point; they are discarded unfolded,
-    // exactly as if the sequential loop had never reached them.
+    // Scenarios run in fixed-size waves (in parallel under
+    // ASK_SIM_THREADS), then fold into the report strictly in scenario
+    // order. The wave size is a constant, NOT the thread count: the
+    // fold — and so the report bytes, including where a max_failures
+    // campaign stops — must be a pure function of (base_seed, count).
+    // A wave may compute scenarios beyond the stop point; they are
+    // discarded unfolded, exactly as if the sequential loop had never
+    // reached them.
     constexpr std::uint32_t kWave = 16;
     for (std::uint32_t start = 0; start < options.count; start += kWave) {
         std::uint32_t wave =
@@ -175,7 +171,7 @@ run_fuzz(const FuzzOptions& options)
                                  options.shrink_attempts);
             });
         }
-        engine.run_isolated(jobs);
+        sim::run_isolated(jobs);
 
         for (std::uint32_t j = 0; j < wave; ++j) {
             ScenarioOutcome& out = outcomes[j];

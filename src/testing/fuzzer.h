@@ -39,16 +39,6 @@ struct FuzzOptions
     std::uint32_t shrink_attempts = 200;
     /** Stop the campaign after this many failures (0 = never). */
     std::uint32_t max_failures = 5;
-    /**
-     * Worker threads for the campaign (0 = read ASK_SIM_THREADS via
-     * sim::SimOptions::from_env()). Every scenario is an independent
-     * replica island — its own AskCluster, simulator, and oracle — so
-     * the campaign runs them in fixed-size waves on the parallel
-     * engine and folds outcomes in scenario order. The report (and its
-     * bytes) is identical at any thread count; the sim_parallel_ab
-     * ctest diffs 1 vs 2 vs 4 to keep that true.
-     */
-    unsigned num_threads = 0;
     /** Called after every scenario (progress lines). May be empty. */
     std::function<void(std::uint32_t done, std::uint32_t count,
                        std::uint32_t failures)>

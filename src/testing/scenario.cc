@@ -283,9 +283,9 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
     // blackhole scenarios to degrade within the simulated horizon.
     cc.ask.max_data_tries = static_cast<std::uint32_t>(rng.next_in(6, 12));
     switch (rng.next_below(4)) {
-      case 0: cc.ask.op = core::AggOp::kMax; break;
-      case 1: cc.ask.op = core::AggOp::kMin; break;
-      default: cc.ask.op = core::AggOp::kAdd; break;
+      case 0: cc.ask.op = core::ReduceOp::kMax; break;
+      case 1: cc.ask.op = core::ReduceOp::kMin; break;
+      default: cc.ask.op = core::ReduceOp::kAdd; break;
     }
     cc.seed = rng.next_u64();
     if (rng.chance(0.5)) {

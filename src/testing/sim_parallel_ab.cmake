@@ -5,9 +5,9 @@
 #         -DFIG08A_BIN=<build>/bench/fig08a_goodput
 #         -DOUT_DIR=<scratch> -P sim_parallel_ab.cmake
 #
-# The engine's contract (docs/CONCURRENCY.md) is bit-for-bit identical
-# output at ANY thread count, including 1. This script enforces it on
-# the two production consumers of the engine:
+# The contract of sim::run_isolated (docs/CONCURRENCY.md) is bit-for-bit
+# identical output at ANY thread count, including 1. This script
+# enforces it on two of its production consumers:
 #
 #   1. a bounded fuzz campaign at ASK_SIM_THREADS 1, 2 and 4 — the
 #      ask-fuzz/v1 reports must be byte-identical;
@@ -42,7 +42,7 @@ file(READ "${OUT_DIR}/fuzz_t1.json" fuzz_t1)
 foreach(threads 2 4)
     file(READ "${OUT_DIR}/fuzz_t${threads}.json" fuzz_tn)
     if(NOT fuzz_t1 STREQUAL fuzz_tn)
-        message(FATAL_ERROR "sim_parallel_ab: fuzz report at ${threads} threads differs from the 1-thread report — the engine merge is nondeterministic (see the runbook in docs/CONCURRENCY.md)")
+        message(FATAL_ERROR "sim_parallel_ab: fuzz report at ${threads} threads differs from the 1-thread report — the campaign fold is nondeterministic (see the runbook in docs/CONCURRENCY.md)")
     endif()
 endforeach()
 

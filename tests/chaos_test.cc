@@ -52,7 +52,7 @@ short_stream(Rng& rng, std::size_t n, std::size_t distinct)
 }
 
 AggregateMap
-truth_of(const std::vector<StreamSpec>& streams, AggOp op)
+truth_of(const std::vector<StreamSpec>& streams, ReduceOp op)
 {
     AggregateMap t;
     for (const auto& s : streams)
@@ -104,7 +104,7 @@ TEST(Chaos, SwitchRebootMidTaskStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 11;
     std::vector<StreamSpec> streams = two_streams(11, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -133,7 +133,7 @@ TEST(Chaos, SwitchRebootUnderLossWithSwapsStaysExact)
     cc.faults = net::FaultSpec::lossy(0.08, 0.04, 0.1);
     cc.seed = 23;
     std::vector<StreamSpec> streams = two_streams(23, 1000);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -152,7 +152,7 @@ TEST(Chaos, TwoRebootsBackToBackStayExact)
     ClusterConfig cc = base_config();
     cc.seed = 31;
     std::vector<StreamSpec> streams = two_streams(31, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -183,7 +183,7 @@ TEST(Chaos, DataBlackholeDegradesToHostAggregation)
     Rng rng = seeded_rng("chaos_test", 41);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 300, 40)},
                                     {2, mixed_stream(rng, 300, 40)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     sim::ChaosPlan plan;
@@ -199,7 +199,7 @@ TEST(Chaos, DataBlackholeDegradesToHostAggregation)
     ChaosStats cs = cluster.chaos_stats();
     EXPECT_EQ(cs.data_blackholes, 1u);
     EXPECT_GE(cs.degraded_entries, 1u);  // at least one sender fell back
-    EXPECT_GT(cluster.switch_stats().blackholed, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).blackholed, 0u);
     // Everything after the fallback travels the long-key bypass.
     EXPECT_GT(cluster.total_host_stats().long_packets_sent, 0u);
     EXPECT_GT(cluster.total_host_stats().tuples_aggregated_locally, 0u);
@@ -212,7 +212,7 @@ TEST(Chaos, TransientBlackholeRecoversAndStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 43;
     std::vector<StreamSpec> streams = two_streams(43, 600);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     sim::ChaosPlan plan;
@@ -225,7 +225,7 @@ TEST(Chaos, TransientBlackholeRecoversAndStaysExact)
     TaskResult r = cluster.run_task(1, 0, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
     EXPECT_EQ(r.result, truth);
-    EXPECT_GT(cluster.switch_stats().blackholed, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).blackholed, 0u);
     EXPECT_EQ(cluster.chaos_stats().degraded_entries, 0u);
 }
 
@@ -238,7 +238,7 @@ TEST(Chaos, LinkEpisodesStayExact)
     ClusterConfig cc = base_config();
     cc.seed = 53;
     std::vector<StreamSpec> streams = two_streams(53, 1000);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -262,7 +262,7 @@ TEST(Chaos, RandomizedPlanOnLossyFabricStaysExact)
     cc.seed = 67;
 
     std::vector<StreamSpec> streams = two_streams(67, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     cluster.arm_chaos(sim::ChaosPlan::randomized(
@@ -285,7 +285,7 @@ TEST(Chaos, MgmtOutageIsRiddenOutByRetries)
     cc.seed = 71;
     Rng rng = seeded_rng("chaos_test", 71);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 300, 40)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     sim::ChaosPlan plan;
@@ -338,7 +338,7 @@ TEST(Chaos, RegionExhaustionFailsSecondTask)
 
     Rng rng = seeded_rng("chaos_test", 83);
     std::vector<StreamSpec> s1{{1, mixed_stream(rng, 400, 50)}};
-    AggregateMap truth = truth_of(s1, AggOp::kAdd);
+    AggregateMap truth = truth_of(s1, ReduceOp::kAdd);
 
     TaskResult first;
     TaskReport second;
@@ -461,7 +461,7 @@ TEST(Chaos, EverythingEverywhereStaysExact)
     cc.faults = net::FaultSpec::lossy(0.03, 0.01, 0.05);
     cc.seed = 101;
     std::vector<StreamSpec> streams = two_streams(101, 1500);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -494,7 +494,7 @@ TEST(Chaos, ReceiverCrashMidTaskRecoversExactly)
     ClusterConfig cc = base_config();
     cc.seed = 103;
     std::vector<StreamSpec> streams = two_streams(103, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -520,7 +520,7 @@ TEST(Chaos, SenderCrashMidTaskReplaysAndStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 107;
     std::vector<StreamSpec> streams = two_streams(107, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -551,7 +551,7 @@ TEST(Chaos, ReceiverCrashWithSwapsAndLossStaysExact)
     cc.faults = net::FaultSpec::lossy(0.05, 0.02, 0.08);
     cc.seed = 109;
     std::vector<StreamSpec> streams = two_streams(109, 1000);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -570,7 +570,7 @@ TEST(Chaos, ControllerCrashMidTaskStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 113;
     std::vector<StreamSpec> streams = two_streams(113, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -595,7 +595,7 @@ TEST(Chaos, ControllerCrashThenSwitchRebootStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 127;
     std::vector<StreamSpec> streams = two_streams(127, 1500);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -677,7 +677,7 @@ TEST(Chaos, CrashAfterDrainRecoversToEmptyState)
     ClusterConfig cc = base_config();
     cc.seed = 139;
     std::vector<StreamSpec> streams = two_streams(139, 400);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);

@@ -48,7 +48,7 @@ mixed_stream(Rng& rng, std::size_t n, std::size_t distinct)
 }
 
 AggregateMap
-truth_of(const std::vector<StreamSpec>& streams, AggOp op)
+truth_of(const std::vector<StreamSpec>& streams, ReduceOp op)
 {
     AggregateMap t;
     for (const auto& s : streams)
@@ -112,7 +112,7 @@ TEST(MultiRack, IntraRackTaskAggregatesAndAcksOnItsToR)
 {
     AskCluster cluster(fabric_config(2));
     std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(2, 600)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     TaskResult r = cluster.run_task(1, HostId{0}, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
@@ -133,7 +133,7 @@ TEST(MultiRack, CrossRackResidualsDieAtTheTier)
     // Few distinct keys and a roomy region: the sender's ToR absorbs
     // whole packets, which must still reach the tier as residuals.
     std::vector<StreamSpec> streams = {{HostId{2}, rack_stream(3, 600, 24)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     TaskResult r = cluster.run_task(2, HostId{0}, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
@@ -185,7 +185,7 @@ TEST(MultiRack, CollidingKeysMergeAtTheTier)
     // travel upward and the tier performs a genuine second-level merge.
     std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(6, 500)},
                                        {HostId{2}, rack_stream(7, 500)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     TaskOptions opts;
     opts.region_len = 2;
@@ -263,8 +263,8 @@ TEST(MultiRack, ConcurrentTasksInBothRacksStayExact)
     std::vector<StreamSpec> sa = {{HostId{1}, rack_stream(8, 400)},
                                   {HostId{2}, rack_stream(9, 400)}};
     std::vector<StreamSpec> sb = {{HostId{3}, rack_stream(10, 400)}};
-    AggregateMap ta = truth_of(sa, AggOp::kAdd);
-    AggregateMap tb = truth_of(sb, AggOp::kAdd);
+    AggregateMap ta = truth_of(sa, ReduceOp::kAdd);
+    AggregateMap tb = truth_of(sb, ReduceOp::kAdd);
 
     // Explicit regions: a defaulted task would claim the whole pool
     // (copy_size = 64 here) and starve the one allocated after it.
@@ -294,7 +294,7 @@ TEST(MultiRack, ToRRebootMidTaskStaysExact)
     ClusterConfig cc = fabric_config(7);
     std::vector<StreamSpec> streams = {{HostId{2}, rack_stream(11, 1200)},
                                        {HostId{3}, rack_stream(12, 1200)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     // Dry-run on an identical fault-free fabric to aim the reboot at
     // the middle of the task.
@@ -327,7 +327,7 @@ TEST(MultiRack, TierRebootMidTaskStaysExact)
     ClusterConfig cc = fabric_config(8);
     std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(13, 1000)},
                                        {HostId{2}, rack_stream(14, 1000)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     sim::SimTime mid;
     {

@@ -38,7 +38,7 @@ mixed_stream(Rng& rng, std::size_t n, std::size_t distinct)
 }
 
 AggregateMap
-truth_of(const std::vector<StreamSpec>& streams, AggOp op)
+truth_of(const std::vector<StreamSpec>& streams, ReduceOp op)
 {
     AggregateMap t;
     for (const auto& s : streams)
@@ -76,7 +76,7 @@ TEST_P(ReliabilitySweep, ExactUnderFaults)
     Rng rng = seeded_rng("robustness_test", cc.seed);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 400, 60)},
                                     {2, mixed_stream(rng, 400, 60)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     TaskResult r = cluster.run_task(1, 0, streams);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.result, truth)
@@ -119,7 +119,7 @@ TEST_P(LayoutSweep, ExactAcrossGeometries)
 
     Rng rng = seeded_rng("robustness_test", aas * 31 + groups * 7 + channels);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 500, 80)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth) << "aas=" << aas << " groups=" << groups;
 }
@@ -142,7 +142,7 @@ TEST(AggOps, MaxEndToEnd)
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
     cc.ask.medium_groups = 2;
-    cc.ask.op = AggOp::kMax;
+    cc.ask.op = ReduceOp::kMax;
     cc.ask.swap_threshold_packets = 0;
     AskCluster cluster(cc);
 
@@ -153,7 +153,7 @@ TEST(AggOps, MaxEndToEnd)
                      static_cast<Value>(rng.next_below(100000))});
     }
     std::vector<StreamSpec> streams{{1, std::move(s)}};
-    AggregateMap truth = truth_of(streams, AggOp::kMax);
+    AggregateMap truth = truth_of(streams, ReduceOp::kMax);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
 }
@@ -166,7 +166,7 @@ TEST(AggOps, MinEndToEnd)
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
     cc.ask.medium_groups = 0;
-    cc.ask.op = AggOp::kMin;
+    cc.ask.op = ReduceOp::kMin;
     cc.ask.swap_threshold_packets = 0;
     AskCluster cluster(cc);
 
@@ -177,7 +177,7 @@ TEST(AggOps, MinEndToEnd)
                      static_cast<Value>(1 + rng.next_below(100000))});
     }
     std::vector<StreamSpec> streams{{1, std::move(s)}};
-    AggregateMap truth = truth_of(streams, AggOp::kMin);
+    AggregateMap truth = truth_of(streams, ReduceOp::kMin);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
 }
@@ -186,7 +186,7 @@ TEST(AggOps, SwitchAddWrapsAt32Bits)
 {
     // The switch ALU adds modulo 2^32 (paper: 32-bit vParts). Two values
     // that overflow must wrap on the switch exactly as apply_op says.
-    EXPECT_EQ(apply_op(AggOp::kAdd, 0xffffffffu, 2u), 1u);
+    EXPECT_EQ(apply_op(ReduceOp::kAdd, 0xffffffffu, 2u), 1u);
 
     ClusterConfig cc;
     cc.num_hosts = 2;
@@ -221,7 +221,7 @@ TEST(Protocol, FinSurvivesHeavyLoss)
 
     Rng rng = seeded_rng("robustness_test", 99);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 100, 20)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.result, truth);
@@ -273,7 +273,7 @@ TEST(Protocol, ManySequentialTasksDoNotLeakSwitchMemory)
     Rng rng = seeded_rng("robustness_test", 8);
     for (TaskId t = 1; t <= 12; ++t) {
         std::vector<StreamSpec> streams{{1, mixed_stream(rng, 100, 10)}};
-        AggregateMap truth = truth_of(streams, AggOp::kAdd);
+        AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
         TaskResult r = cluster.run_task(t, 0, streams);
         EXPECT_EQ(r.result, truth) << "task " << t;
     }
@@ -299,11 +299,11 @@ TEST(Protocol, CorpusWorkloadWithFaultsStaysExact)
     workload::TextCorpus corpus(p, 17);
     std::vector<StreamSpec> streams{{1, corpus.generate(5000)},
                                     {2, corpus.generate(5000)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
-    EXPECT_GT(cluster.switch_stats().long_packets, 0u);
-    EXPECT_GT(cluster.switch_stats().tuples_aggregated, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).long_packets, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).tuples_aggregated, 0u);
 }
 
 TEST(Protocol, SingleHostSelfAggregation)
@@ -320,7 +320,7 @@ TEST(Protocol, SingleHostSelfAggregation)
 
     Rng rng = seeded_rng("robustness_test", 4);
     std::vector<StreamSpec> streams{{0, mixed_stream(rng, 200, 20)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
 }

@@ -242,8 +242,8 @@ TEST(WalRebuild, FoldIsIdempotent)
     cp.seq = 64;
     log.push_back(cp);
 
-    WalDaemonState once = rebuild_daemon_state(log, AggOp::kAdd);
-    WalDaemonState twice = rebuild_daemon_state(log, AggOp::kAdd);
+    WalDaemonState once = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState twice = rebuild_daemon_state(log, ReduceOp::kAdd);
     EXPECT_EQ(once, twice);
     ASSERT_EQ(once.rx_tasks.size(), 1u);
     const WalRxTaskState& t = once.rx_tasks.at(1);
@@ -264,7 +264,7 @@ TEST(WalRebuild, DoneRemovesTheTask)
     done.task = 1;
     log.push_back(done);
 
-    WalDaemonState state = rebuild_daemon_state(log, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
     EXPECT_TRUE(state.rx_tasks.empty());
 }
 
@@ -278,7 +278,7 @@ TEST(WalRebuild, SubmitsConcatenateAndForgetRemoves)
     WalRecord s2 = s1;
     s2.kvs = {{"z", 3}};
 
-    WalDaemonState state = rebuild_daemon_state({s1, s2}, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state({s1, s2}, ReduceOp::kAdd);
     ASSERT_EQ(state.sends.size(), 1u);
     const WalSendState& send = state.sends.at(5);
     EXPECT_EQ(send.receiver, 2u);
@@ -288,7 +288,7 @@ TEST(WalRebuild, SubmitsConcatenateAndForgetRemoves)
     WalRecord forget;
     forget.kind = WalRecordKind::kSendForget;
     forget.task = 5;
-    state = rebuild_daemon_state({s1, s2, forget}, AggOp::kAdd);
+    state = rebuild_daemon_state({s1, s2, forget}, ReduceOp::kAdd);
     EXPECT_TRUE(state.sends.empty());
 }
 
@@ -305,7 +305,7 @@ TEST(WalRebuild, ResetWipesProgressButKeepsObservedSeqs)
     log.push_back(reset);
     log.push_back(data_record(1, 0, 2, {{"b", 7}}));
 
-    WalDaemonState state = rebuild_daemon_state(log, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
     const WalRxTaskState& t = state.rx_tasks.at(1);
     // Aggregate restarted from scratch after the reset...
     EXPECT_EQ(t.local.count("a"), 0u);
@@ -327,7 +327,7 @@ TEST(WalRebuild, GenerationOvershootsEveryPreCrashHandout)
     log.push_back(recovered);  // host crashed twice before
     log.push_back(start_record(9, 1, true));
 
-    WalDaemonState state = rebuild_daemon_state(log, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
     EXPECT_EQ(state.recoveries, 2u);
     EXPECT_EQ(state.rx_tasks.at(9).generation, 4u);  // 2 + 0 resets + 2
     EXPECT_TRUE(state.rx_tasks.at(9).swaps_disabled);
@@ -345,7 +345,7 @@ TEST(WalRebuild, ResumeSeqIsTheMaxCheckpoint)
     WalDaemonState state = rebuild_daemon_state(
         {checkpoint(0, 64), checkpoint(1, 64), checkpoint(0, 192),
          checkpoint(0, 128)},
-        AggOp::kAdd);
+        ReduceOp::kAdd);
     EXPECT_EQ(state.resume_seq.at(0), 192u);
     EXPECT_EQ(state.resume_seq.at(1), 64u);
     EXPECT_EQ(state.resume_seq.count(2), 0u);
@@ -358,15 +358,15 @@ TEST(WalRebuild, FoldHonorsTheAggregationOp)
     log.push_back(data_record(1, 0, 0, {{"a", 9}}));
     log.push_back(data_record(1, 0, 1, {{"a", 3}}));
 
-    EXPECT_EQ(rebuild_daemon_state(log, AggOp::kAdd).rx_tasks.at(1).local.at(
-                  "a"),
-              12u);
-    EXPECT_EQ(rebuild_daemon_state(log, AggOp::kMax).rx_tasks.at(1).local.at(
-                  "a"),
-              9u);
-    EXPECT_EQ(rebuild_daemon_state(log, AggOp::kMin).rx_tasks.at(1).local.at(
-                  "a"),
-              3u);
+    EXPECT_EQ(
+        rebuild_daemon_state(log, ReduceOp::kAdd).rx_tasks.at(1).local.at("a"),
+        12u);
+    EXPECT_EQ(
+        rebuild_daemon_state(log, ReduceOp::kMax).rx_tasks.at(1).local.at("a"),
+        9u);
+    EXPECT_EQ(
+        rebuild_daemon_state(log, ReduceOp::kMin).rx_tasks.at(1).local.at("a"),
+        3u);
 }
 
 TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
@@ -375,13 +375,13 @@ TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
     // argument only covers pre-upgrade logs that never recorded one.
     std::vector<WalRecord> log;
     WalRecord start = start_record(1, 1, false);
-    start.kvs.emplace_back("op", static_cast<std::uint64_t>(AggOp::kMax));
+    start.kvs.emplace_back("op", static_cast<std::uint64_t>(ReduceOp::kMax));
     log.push_back(start);
     log.push_back(data_record(1, 0, 0, {{"a", 9}}));
     log.push_back(data_record(1, 0, 1, {{"a", 3}}));
 
-    WalDaemonState state = rebuild_daemon_state(log, AggOp::kAdd);
-    EXPECT_EQ(state.rx_tasks.at(1).op, AggOp::kMax);
+    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kMax);
     EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 9u);
 
     // An explicit "op" of 0 is kAdd, not "absent": it must win over a
@@ -391,16 +391,16 @@ TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
     std::vector<WalRecord> log2 = {start_add,
                                    data_record(2, 0, 0, {{"a", 9}}),
                                    data_record(2, 0, 1, {{"a", 3}})};
-    state = rebuild_daemon_state(log2, AggOp::kMin);
-    EXPECT_EQ(state.rx_tasks.at(2).op, AggOp::kAdd);
+    state = rebuild_daemon_state(log2, ReduceOp::kMin);
+    EXPECT_EQ(state.rx_tasks.at(2).op, ReduceOp::kAdd);
     EXPECT_EQ(state.rx_tasks.at(2).local.at("a"), 12u);
 
     // No "op" kv at all: the caller's default applies.
     std::vector<WalRecord> log3 = {start_record(3, 1, false),
                                    data_record(3, 0, 0, {{"a", 9}}),
                                    data_record(3, 0, 1, {{"a", 3}})};
-    state = rebuild_daemon_state(log3, AggOp::kMin);
-    EXPECT_EQ(state.rx_tasks.at(3).op, AggOp::kMin);
+    state = rebuild_daemon_state(log3, ReduceOp::kMin);
+    EXPECT_EQ(state.rx_tasks.at(3).op, ReduceOp::kMin);
     EXPECT_EQ(state.rx_tasks.at(3).local.at("a"), 3u);
 }
 
@@ -413,16 +413,16 @@ TEST(WalRebuild, SendSubmitRestoresItsOp)
     s.kind = WalRecordKind::kSendSubmit;
     s.task = 5;
     s.arg0 = 2;  // receiver host
-    s.arg1 = static_cast<std::uint32_t>(AggOp::kCount);
+    s.arg1 = static_cast<std::uint32_t>(ReduceOp::kCount);
     s.kvs = {{"x", 1}};
-    WalDaemonState state = rebuild_daemon_state({s}, AggOp::kAdd);
-    EXPECT_EQ(state.sends.at(5).op, AggOp::kCount);
+    WalDaemonState state = rebuild_daemon_state({s}, ReduceOp::kAdd);
+    EXPECT_EQ(state.sends.at(5).op, ReduceOp::kCount);
 
     // Pre-op records carry arg1 == 0, which is kAdd — the only operator
     // that existed when they were written.
     s.arg1 = 0;
-    state = rebuild_daemon_state({s}, AggOp::kMax);
-    EXPECT_EQ(state.sends.at(5).op, AggOp::kAdd);
+    state = rebuild_daemon_state({s}, ReduceOp::kMax);
+    EXPECT_EQ(state.sends.at(5).op, ReduceOp::kAdd);
 }
 
 TEST(WalRebuild, DataForUnknownTaskIsDropped)
@@ -435,7 +435,7 @@ TEST(WalRebuild, DataForUnknownTaskIsDropped)
     alloc.kind = WalRecordKind::kAlloc;
     alloc.task = 1;
     log.push_back(alloc);
-    WalDaemonState state = rebuild_daemon_state(log, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
     EXPECT_TRUE(state.rx_tasks.empty());
     EXPECT_TRUE(state.sends.empty());
 }
@@ -452,7 +452,7 @@ TEST(WalRebuild, SwapCommitMergesFetchedAggregates)
     swap.kvs = {{"a", 10}, {"c", 4}};
     log.push_back(swap);
 
-    WalDaemonState state = rebuild_daemon_state(log, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
     const WalRxTaskState& t = state.rx_tasks.at(1);
     EXPECT_EQ(t.local.at("a"), 11u);
     EXPECT_EQ(t.local.at("c"), 4u);
